@@ -75,8 +75,7 @@ from repro.core.sweep import (
     tally_point_fields,
 )
 from repro.parallel.faults import active_plan
-from repro.parallel.pipeline import SharedPool
-from repro.parallel.sharded import resolve_workers
+from repro.parallel.pipeline import SharedPool, resolve_workers
 
 __all__ = ["CampaignInterrupted", "CampaignResult", "JoinedCampaign",
            "run_campaign"]
@@ -90,15 +89,6 @@ class CampaignInterrupted(RuntimeError):
     point already finalised has been flushed to the store, no further
     sampling starts, and the pool is released on the way out.  A rerun
     against the same store resumes from everything flushed."""
-
-
-def _point_seed(seed: int, sweep_index: int, point_index: int,
-                stage: int) -> np.random.SeedSequence:
-    """The seed for one (point, stage): pilot is stage 0, refine round
-    ``r`` is stage ``r + 1``.  A pure function of the spec's seed and
-    the point's position — execution order never enters."""
-    return np.random.SeedSequence(
-        entropy=seed, spawn_key=(sweep_index, point_index, stage))
 
 
 @dataclass
@@ -440,6 +430,203 @@ def _build_tables(spec: CampaignSpec,
     return tables
 
 
+class _PointSampler:
+    """Samples campaign points one stage at a time, for both engines.
+
+    Owns everything a stage needs: an ``ExitStack`` holding the worker
+    pool (lent by the caller, else created here when ``workers > 1``)
+    and one :class:`MemoryExperiment` per (sweep, code, oracle
+    reference); the ``sampled``/``replayed`` shot counters; and the
+    store records a point writes — per-stage checkpoints and the final.
+    Use it as a context manager: leaving releases the experiments and,
+    unless lent, the pool.
+
+    The plain and joined engines differ only at the edges:
+    ``before_sample(point)`` runs first in every :meth:`sample` (the
+    joined engine's lease heartbeat — a :class:`LeaseLost` there
+    forfeits the point before any sampling), and
+    ``record_extras(point)`` adds fields to every record the point
+    writes (the joined engine's lease ``epoch`` and ``worker``).
+    """
+
+    def __init__(self, spec: CampaignSpec, store: ResultStore | None,
+                 campaign_fp: str, workers: int = 1,
+                 pool: SharedPool | None = None,
+                 shard_timeout: float | None = None,
+                 max_shard_retries: int | None = None,
+                 before_sample=None, record_extras=None) -> None:
+        self.spec = spec
+        self.store = store
+        self.campaign_fp = campaign_fp
+        self.shard_timeout = shard_timeout
+        self.max_shard_retries = max_shard_retries
+        self.before_sample = before_sample
+        self.record_extras = record_extras
+        self.sampled = 0
+        self.replayed = 0
+        self.points_finalized = 0
+        self._stack = ExitStack()
+        self._entered = False
+        self._experiments: dict = {}
+        # A lent pool (the service shares one across every job) is used
+        # but never closed.  An own pool spawns no process until the
+        # first shard is submitted to it.
+        if pool is None and resolve_workers(workers) > 1:
+            pool = self._stack.enter_context(SharedPool(workers))
+        self.pool = pool
+
+    def __enter__(self) -> "_PointSampler":
+        self._entered = True
+        return self
+
+    def __exit__(self, *exc_info) -> bool | None:
+        self._entered = False
+        self._experiments.clear()
+        return self._stack.__exit__(*exc_info)
+
+    # ------------------------------------------------------------------
+    def experiment_for(self, point: _CampaignPoint,
+                       reference: str | None = None) -> MemoryExperiment:
+        if not self._entered:
+            raise RuntimeError("the point sampler must be entered first")
+        key = (point.sweep_index, point.experiment_key, reference)
+        experiment = self._experiments.get(key)
+        if experiment is None:
+            # The run-level overrides win over the sweep's knobs;
+            # oracle reference runs are in-process and need neither.
+            timeout = (self.shard_timeout if self.shard_timeout is not None
+                       else point.sweep.shard_timeout)
+            retries = (self.max_shard_retries
+                       if self.max_shard_retries is not None
+                       else point.sweep.max_shard_retries)
+            experiment = self._stack.enter_context(MemoryExperiment(
+                code=point.code, rounds=point.rounds,
+                basis=point.basis, method=point.sweep.method,
+                max_bp_iterations=point.max_bp_iterations,
+                osd_order=point.osd_order, seed=self.spec.seed,
+                backend=(reference if reference is not None
+                         else point.backend),
+                shard_shots=point.shard_shots,
+                pool=None if reference is not None else self.pool,
+                shard_timeout=None if reference is not None else timeout,
+                max_shard_retries=(None if reference is not None
+                                   else retries),
+            ))
+            self._experiments[key] = experiment
+        return experiment
+
+    def seed_for(self, point: _CampaignPoint,
+                 stage: int) -> np.random.SeedSequence:
+        """The seed for one (point, stage): pilot is stage 0, refine
+        round ``r`` is stage ``r + 1``.  A pure function of the spec's
+        seed and the point's position (or of the point's own entropy)
+        — execution order never enters."""
+        if point.seed_entropy is not None:
+            return np.random.SeedSequence(entropy=point.seed_entropy,
+                                          spawn_key=(int(stage),))
+        return np.random.SeedSequence(
+            entropy=self.spec.seed,
+            spawn_key=(point.sweep_index, point.point_index, stage))
+
+    # ------------------------------------------------------------------
+    def sample(self, point: _CampaignPoint, allocation: int,
+               prior: tuple[int, int], stage: int) -> tuple[int, int]:
+        """Run one stage of ``point``: replay it from the point's
+        checkpoint log when the log has it, else sample it (and
+        cross-check it against the oracle) and checkpoint the log."""
+        if self.before_sample is not None:
+            self.before_sample(point)
+        if point.replay is not None:
+            logged = point.replay.get(stage)
+            if (logged is not None
+                    and int(logged["allocation"]) == int(allocation)):
+                # Completed stage from a partial checkpoint: serve the
+                # logged tally, sample nothing.  (The oracle check
+                # already passed when the stage first ran.)
+                failures = int(logged["failures"])
+                used = int(logged["shots"])
+                self.replayed += used
+                point.stage_log.append({
+                    "stage": stage, "allocation": int(allocation),
+                    "failures": failures, "shots": used,
+                })
+                return failures, used
+            # Allocation diverged (e.g. the log predates a spec-
+            # compatible change in execution knobs): drop the rest of
+            # the log and re-sample — stage seeds make that
+            # bit-identical anyway.
+            point.replay = None
+        result = self.experiment_for(point).run(
+            point.physical_error_rate, point.round_latency_us,
+            shots=allocation, target_precision=point.target,
+            prior_tally=prior, seed=self.seed_for(point, stage),
+        )
+        if point.oracle is not None:
+            # Identical sampling on the reference backend (workers=1, no
+            # pool); an equal-valued SeedSequence rebuilds the same shard
+            # tree, so the oracle re-draws the fast run's exact shots.
+            # Oracle shots are a check, not an estimate — they never
+            # count against the campaign budget.
+            check = self.experiment_for(
+                point, reference=point.oracle.reference,
+            ).run(point.physical_error_rate, point.round_latency_us,
+                  shots=allocation, target_precision=point.target,
+                  prior_tally=prior, seed=self.seed_for(point, stage))
+            if ((check.failures, check.shots)
+                    != (result.failures, result.shots)):
+                report_scenario_mismatch(
+                    point.oracle.scenario, point.backend,
+                    point.oracle.reference, point.oracle.failure_dir,
+                    detail=(f"campaign {self.spec.name!r} sweep "
+                            f"{point.sweep.name!r} stage {stage}: "
+                            f"fast ({result.failures}, {result.shots}) "
+                            f"!= oracle ({check.failures}, "
+                            f"{check.shots})"))
+        self.sampled += int(result.shots)
+        point.stage_log.append({
+            "stage": stage, "allocation": int(allocation),
+            "failures": int(result.failures), "shots": int(result.shots),
+        })
+        if self.store is not None:
+            # A partial, superseded later by the final record under the
+            # same key.
+            self.store.append(self._record(point, partial=True))
+        return result.failures, result.shots
+
+    def finalize(self, point: _CampaignPoint) -> None:
+        """Append the point's final record to the store."""
+        self.store.append(self._record(point))
+        self.points_finalized += 1
+        plan = active_plan()
+        if plan is not None and plan.take_sigterm(self.points_finalized):
+            # Injected stand-in for SIGTERM: exercise the same
+            # flush/raise path the real signal handlers reach via
+            # ``stop``, deterministically placed after this point.
+            raise CampaignInterrupted(
+                f"injected interrupt after {self.points_finalized} points")
+
+    def _record(self, point: _CampaignPoint, partial: bool = False) -> dict:
+        record = {
+            "key": point.key,
+            "campaign": self.campaign_fp,
+            "spec_name": self.spec.name,
+            "sweep": point.sweep.name,
+            "params": point.params,
+        }
+        if partial:
+            record.update(
+                partial=True,
+                stages=list(point.stage_log),
+                failures=sum(e["failures"] for e in point.stage_log),
+                shots=sum(e["shots"] for e in point.stage_log),
+            )
+        else:
+            record.update(failures=point.tally[0], shots=point.tally[1])
+        if self.record_extras is not None:
+            record.update(self.record_extras(point))
+        return record
+
+
 class JoinedCampaign:
     """One joined worker's view of a multi-host campaign.
 
@@ -453,7 +640,8 @@ class JoinedCampaign:
     therefore the tables are bit-identical, and N workers produce the
     same tables as one.
 
-    A context manager (owns the worker pool and experiment cache):
+    A context manager (its point sampler owns the worker pool and
+    experiment cache):
 
     >>> with JoinedCampaign(spec, store, worker=identity) as joined:
     ...     result = joined.run()
@@ -505,18 +693,13 @@ class JoinedCampaign:
         self.progress = progress
         self.clock = clock
         self.sleep = sleep
-        self.shard_timeout = shard_timeout
-        self.max_shard_retries = max_shard_retries
         self.campaign_fp = spec.fingerprint(budget=self.budget)
         self.points = _expand_points(spec, self.budget, self.campaign_fp)
         _partition_points(self.points, self.budget)
         self.sampled = [point for point in self.points if point.sampled]
         self.by_key = {point.key: point for point in self.sampled}
         self.manager = LeaseManager(store, self.worker, ttl, clock=clock)
-        self.shots_sampled = 0
-        self.shots_replayed = 0
         self.shots_forfeited = 0
-        self.points_finalized = 0
         self.finalized_by_us: set[str] = set()
         self.reused_at_start: set[str] = set()
         store.refresh()
@@ -524,152 +707,36 @@ class JoinedCampaign:
             record = store.get(point.key)
             if record is not None and not record.get("partial"):
                 self.reused_at_start.add(point.key)
-        self.worker_count = resolve_workers(workers)
-        self._stack: ExitStack | None = None
-        self._pool = None
-        self._experiments: dict = {}
+        self._sampler = _PointSampler(
+            spec, store, self.campaign_fp, workers=workers,
+            shard_timeout=shard_timeout,
+            max_shard_retries=max_shard_retries,
+            # Liveness first: if the lease was usurped (our heartbeats
+            # were too slow, or suppressed by a fault plan), LeaseLost
+            # propagates to _run_point which forfeits the whole point.
+            before_sample=lambda point: self.manager.heartbeat(point.key),
+            record_extras=lambda point: {
+                "epoch": self.manager.held.get(point.key, 0),
+                "worker": str(self.worker),
+            },
+        )
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "JoinedCampaign":
-        self._stack = ExitStack().__enter__()
-        if self.worker_count > 1:
-            self._pool = self._stack.enter_context(
-                SharedPool(self.worker_count))
+        self._sampler.__enter__()
         return self
 
     def __exit__(self, *exc_info) -> bool | None:
-        stack, self._stack = self._stack, None
-        self._pool = None
-        self._experiments.clear()
-        if stack is not None:
-            return stack.__exit__(*exc_info)
-        return None
-
-    # ------------------------------------------------------------------
-    def _experiment_for(self, point: _CampaignPoint,
-                        reference: str | None = None) -> MemoryExperiment:
-        if self._stack is None:
-            raise RuntimeError("JoinedCampaign must be entered first")
-        key = (point.sweep_index, point.experiment_key, reference)
-        experiment = self._experiments.get(key)
-        if experiment is None:
-            timeout = (self.shard_timeout if self.shard_timeout is not None
-                       else point.sweep.shard_timeout)
-            retries = (self.max_shard_retries
-                       if self.max_shard_retries is not None
-                       else point.sweep.max_shard_retries)
-            experiment = self._stack.enter_context(MemoryExperiment(
-                code=point.code, rounds=point.rounds,
-                basis=point.basis, method=point.sweep.method,
-                max_bp_iterations=point.max_bp_iterations,
-                osd_order=point.osd_order, seed=self.spec.seed,
-                backend=(reference if reference is not None
-                         else point.backend),
-                workers=1 if reference is not None else self.worker_count,
-                shard_shots=point.shard_shots,
-                pool=None if reference is not None else self._pool,
-                shard_timeout=None if reference is not None else timeout,
-                max_shard_retries=(None if reference is not None
-                                   else retries),
-            ))
-            self._experiments[key] = experiment
-        return experiment
-
-    def _seed_for(self, point: _CampaignPoint,
-                  stage: int) -> np.random.SeedSequence:
-        if point.seed_entropy is not None:
-            return np.random.SeedSequence(entropy=point.seed_entropy,
-                                          spawn_key=(int(stage),))
-        return _point_seed(self.spec.seed, point.sweep_index,
-                           point.point_index, stage)
-
-    # ------------------------------------------------------------------
-    def _checkpoint(self, point: _CampaignPoint) -> None:
-        self.store.append({
-            "key": point.key,
-            "campaign": self.campaign_fp,
-            "spec_name": self.spec.name,
-            "sweep": point.sweep.name,
-            "params": point.params,
-            "partial": True,
-            "stages": list(point.stage_log),
-            "failures": sum(e["failures"] for e in point.stage_log),
-            "shots": sum(e["shots"] for e in point.stage_log),
-            "epoch": self.manager.held.get(point.key, 0),
-            "worker": str(self.worker),
-        })
-
-    def _flush_final(self, point: _CampaignPoint) -> None:
-        self.store.append({
-            "key": point.key,
-            "campaign": self.campaign_fp,
-            "spec_name": self.spec.name,
-            "sweep": point.sweep.name,
-            "params": point.params,
-            "failures": point.tally[0],
-            "shots": point.tally[1],
-            "epoch": self.manager.held.get(point.key, 0),
-            "worker": str(self.worker),
-        })
-        self.points_finalized += 1
-        plan = active_plan()
-        if plan is not None and plan.take_sigterm(self.points_finalized):
-            raise CampaignInterrupted(
-                f"injected interrupt after {self.points_finalized} points")
+        return self._sampler.__exit__(*exc_info)
 
     def _sample(self, point: _CampaignPoint, allocation: int,
                 prior: tuple[int, int], stage: int) -> tuple[int, int]:
-        # Liveness first: if the lease was usurped (our heartbeats were
-        # too slow, or suppressed by a fault plan), LeaseLost propagates
-        # to _run_point which forfeits the whole point.
-        self.manager.heartbeat(point.key)
-        if point.replay is not None:
-            logged = point.replay.get(stage)
-            if (logged is not None
-                    and int(logged["allocation"]) == int(allocation)):
-                failures = int(logged["failures"])
-                used = int(logged["shots"])
-                self.shots_replayed += used
-                point.stage_log.append({
-                    "stage": stage, "allocation": int(allocation),
-                    "failures": failures, "shots": used,
-                })
-                return failures, used
-            point.replay = None
-        result = self._experiment_for(point).run(
-            point.physical_error_rate, point.round_latency_us,
-            shots=allocation, target_precision=point.target,
-            prior_tally=prior,
-            seed=self._seed_for(point, stage),
-        )
-        if point.oracle is not None:
-            check = self._experiment_for(
-                point, reference=point.oracle.reference,
-            ).run(point.physical_error_rate, point.round_latency_us,
-                  shots=allocation, target_precision=point.target,
-                  prior_tally=prior, seed=self._seed_for(point, stage))
-            if ((check.failures, check.shots)
-                    != (result.failures, result.shots)):
-                report_scenario_mismatch(
-                    point.oracle.scenario, point.backend,
-                    point.oracle.reference, point.oracle.failure_dir,
-                    detail=(f"campaign {self.spec.name!r} sweep "
-                            f"{point.sweep.name!r} stage {stage}: "
-                            f"fast ({result.failures}, {result.shots}) "
-                            f"!= oracle ({check.failures}, "
-                            f"{check.shots})"))
-        self.shots_sampled += int(result.shots)
-        point.stage_log.append({
-            "stage": stage, "allocation": int(allocation),
-            "failures": int(result.failures), "shots": int(result.shots),
-        })
-        self._checkpoint(point)
-        return result.failures, result.shots
+        return self._sampler.sample(point, allocation, prior, stage)
 
     def _run_point(self, point: _CampaignPoint) -> str:
         """Run one claimed point to completion (or forfeit it)."""
-        before_sampled = self.shots_sampled
-        before_replayed = self.shots_replayed
+        sampler = self._sampler
+        before = (sampler.sampled, sampler.replayed)
         try:
             record = self.store.get(point.key)
             if record is not None and not record.get("partial"):
@@ -705,7 +772,7 @@ class JoinedCampaign:
                 # checkpointed, so whoever claims next replays it.
                 raise CampaignInterrupted(
                     "joined campaign interrupted mid-point")
-            self._flush_final(point)
+            sampler.finalize(point)
             self.manager.release(point.key)
             self.finalized_by_us.add(point.key)
             return "done"
@@ -713,11 +780,9 @@ class JoinedCampaign:
             # Usurped: un-count everything this run put into the point
             # — the usurper's final record carries those shots — and
             # reset it so a later reclaim rebuilds from the store.
-            forfeited = ((self.shots_sampled - before_sampled)
-                         + (self.shots_replayed - before_replayed))
-            self.shots_sampled = before_sampled
-            self.shots_replayed = before_replayed
-            self.shots_forfeited += forfeited
+            self.shots_forfeited += (sampler.sampled + sampler.replayed
+                                     - sum(before))
+            sampler.sampled, sampler.replayed = before
             point.tally[:] = [0, 0]
             point.stage_log.clear()
             point.replay = None
@@ -767,7 +832,7 @@ class JoinedCampaign:
                 stored.add(point.key)
         self.progress(_progress_snapshot(
             self.spec, self.points, phase, None, self.budget,
-            self.shots_sampled, 0, self.shots_replayed, 0, stored))
+            self._sampler.sampled, 0, self._sampler.replayed, 0, stored))
 
     def run(self) -> CampaignResult:
         """Claim and run until every point has a final record."""
@@ -818,9 +883,9 @@ class JoinedCampaign:
             budget=self.budget,
             points_total=len(self.sampled),
             points_reused=len(self.reused_at_start),
-            shots_sampled=self.shots_sampled,
+            shots_sampled=self._sampler.sampled,
             shots_reused=shots_reused,
-            shots_replayed=self.shots_replayed,
+            shots_replayed=self._sampler.replayed,
             targets_met=targets_met,
             store_path=str(self.store.path),
             shots_external=shots_external,
@@ -950,11 +1015,11 @@ def run_campaign(spec: CampaignSpec,
         shots_reused += point.tally[1]
 
     spent = shots_reused
-    shots_sampled = 0
-    shots_replayed = 0
     shots_external = 0
-    points_finalized = 0
     fresh = [point for point in sampled_points if not point.reused]
+    sampler = _PointSampler(spec, store, campaign_fp, workers=workers,
+                            pool=pool, shard_timeout=shard_timeout,
+                            max_shard_retries=max_shard_retries)
 
     # Interruption safety: flush a fresh point to the store the moment
     # it can no longer change — target met or per-point cap reached —
@@ -967,7 +1032,7 @@ def run_campaign(spec: CampaignSpec,
             return
         progress(_progress_snapshot(
             spec, points, phase, round_index, effective_budget,
-            shots_sampled - shots_replayed, shots_reused, shots_replayed,
+            sampler.sampled, shots_reused, sampler.replayed,
             shots_external, stored_keys))
 
     def adopt_external(round_index: int | None = None) -> int:
@@ -1015,160 +1080,24 @@ def run_campaign(spec: CampaignSpec,
         return adopted
 
     def flush(point: _CampaignPoint, force: bool = False) -> None:
-        nonlocal points_finalized
         if store is None or point.key in stored_keys:
             return
         final = (force or point.tally[1] >= point.cap
                  or point.target.met(point.tally[0], point.tally[1]))
         if not final:
             return
-        store.append({
-            "key": point.key,
-            "campaign": campaign_fp,
-            "spec_name": spec.name,
-            "sweep": point.sweep.name,
-            "params": point.params,
-            "failures": point.tally[0],
-            "shots": point.tally[1],
-        })
         stored_keys.add(point.key)
-        points_finalized += 1
-        plan = active_plan()
-        if plan is not None and plan.take_sigterm(points_finalized):
-            # Injected stand-in for SIGTERM: exercise the same
-            # flush/raise path the real signal handlers reach via
-            # ``stop``, deterministically placed after this point.
-            raise CampaignInterrupted(
-                f"injected interrupt after {points_finalized} points")
+        sampler.finalize(point)
 
-    def checkpoint(point: _CampaignPoint) -> None:
-        """Persist the point's stage log (a partial, superseded later
-        by the final record under the same key)."""
-        if store is None:
-            return
-        store.append({
-            "key": point.key,
-            "campaign": campaign_fp,
-            "spec_name": spec.name,
-            "sweep": point.sweep.name,
-            "params": point.params,
-            "partial": True,
-            "stages": list(point.stage_log),
-            "failures": sum(e["failures"] for e in point.stage_log),
-            "shots": sum(e["shots"] for e in point.stage_log),
-        })
-
-    def seed_for(point: _CampaignPoint, stage: int) -> np.random.SeedSequence:
-        if point.seed_entropy is not None:
-            return np.random.SeedSequence(entropy=point.seed_entropy,
-                                          spawn_key=(int(stage),))
-        return _point_seed(spec.seed, point.sweep_index, point.point_index,
-                           stage)
+    def interrupt(message: str) -> None:
+        """Stop cleanly: flush whatever already finalised, raise."""
+        for point in fresh:
+            flush(point)
+        raise CampaignInterrupted(message)
 
     emit("reuse")
 
-    with ExitStack() as stack:
-        if pool is not None:
-            # Externally owned (the service lends its pool to every
-            # job): use it, never close it.
-            worker_count = pool.workers
-        else:
-            worker_count = resolve_workers(workers)
-            if worker_count > 1 and fresh:
-                pool = stack.enter_context(SharedPool(worker_count))
-        experiments: dict = {}
-
-        def experiment_for(point: _CampaignPoint,
-                           reference: str | None = None) -> MemoryExperiment:
-            key = (point.sweep_index, point.experiment_key, reference)
-            experiment = experiments.get(key)
-            if experiment is None:
-                # The run-level overrides win over the sweep's knobs;
-                # oracle reference runs are in-process and need neither.
-                timeout = (shard_timeout if shard_timeout is not None
-                           else point.sweep.shard_timeout)
-                retries = (max_shard_retries if max_shard_retries is not None
-                           else point.sweep.max_shard_retries)
-                experiment = stack.enter_context(MemoryExperiment(
-                    code=point.code, rounds=point.rounds,
-                    basis=point.basis, method=point.sweep.method,
-                    max_bp_iterations=point.max_bp_iterations,
-                    osd_order=point.osd_order, seed=spec.seed,
-                    backend=(reference if reference is not None
-                             else point.backend),
-                    workers=1 if reference is not None else worker_count,
-                    shard_shots=point.shard_shots,
-                    pool=None if reference is not None else pool,
-                    shard_timeout=None if reference is not None else timeout,
-                    max_shard_retries=(None if reference is not None
-                                       else retries),
-                ))
-                experiments[key] = experiment
-            return experiment
-
-        def sample(point: _CampaignPoint, allocation: int,
-                   prior: tuple[int, int], stage: int) -> tuple[int, int]:
-            nonlocal shots_replayed
-            if point.replay is not None:
-                logged = point.replay.get(stage)
-                if (logged is not None
-                        and int(logged["allocation"]) == int(allocation)):
-                    # Completed stage from a partial checkpoint: serve
-                    # the logged tally, sample nothing.  (The oracle
-                    # check already passed when the stage first ran.)
-                    failures = int(logged["failures"])
-                    used = int(logged["shots"])
-                    shots_replayed += used
-                    point.stage_log.append({
-                        "stage": stage, "allocation": int(allocation),
-                        "failures": failures, "shots": used,
-                    })
-                    return failures, used
-                # Allocation diverged (e.g. the log predates a spec-
-                # compatible change in execution knobs): drop the rest
-                # of the log and re-sample — stage seeds make that
-                # bit-identical anyway.
-                point.replay = None
-            result = experiment_for(point).run(
-                point.physical_error_rate, point.round_latency_us,
-                shots=allocation, target_precision=point.target,
-                prior_tally=prior,
-                seed=seed_for(point, stage),
-            )
-            if point.oracle is not None:
-                # Identical sampling on the reference backend (workers=1,
-                # no pool); an equal-valued SeedSequence rebuilds the same
-                # shard tree, so the oracle re-draws the fast run's exact
-                # shots.  Oracle shots are a check, not an estimate —
-                # they never count against the campaign budget.
-                check = experiment_for(
-                    point, reference=point.oracle.reference,
-                ).run(point.physical_error_rate, point.round_latency_us,
-                      shots=allocation, target_precision=point.target,
-                      prior_tally=prior, seed=seed_for(point, stage))
-                if ((check.failures, check.shots)
-                        != (result.failures, result.shots)):
-                    report_scenario_mismatch(
-                        point.oracle.scenario, point.backend,
-                        point.oracle.reference, point.oracle.failure_dir,
-                        detail=(f"campaign {spec.name!r} sweep "
-                                f"{point.sweep.name!r} stage {stage}: "
-                                f"fast ({result.failures}, {result.shots}) "
-                                f"!= oracle ({check.failures}, "
-                                f"{check.shots})"))
-            point.stage_log.append({
-                "stage": stage, "allocation": int(allocation),
-                "failures": int(result.failures), "shots": int(result.shots),
-            })
-            checkpoint(point)
-            return result.failures, result.shots
-
-        def interrupt(message: str) -> None:
-            """Stop cleanly: flush whatever already finalised, raise."""
-            for point in fresh:
-                flush(point)
-            raise CampaignInterrupted(message)
-
+    with sampler:
         # Pilot: a streamed taste of every fresh point, in spec order.
         for point in fresh:
             if stop is not None and stop():
@@ -1176,11 +1105,11 @@ def run_campaign(spec: CampaignSpec,
             allocation = min(point.pilot, point.cap,
                              max(0, effective_budget - spent))
             if allocation > 0:
-                failures, used = sample(point, allocation, (0, 0), stage=0)
+                failures, used = sampler.sample(point, allocation, (0, 0),
+                                                stage=0)
                 point.tally[0] += failures
                 point.tally[1] += used
                 spent += used
-                shots_sampled += used
             flush(point)
             emit("pilot")
 
@@ -1190,8 +1119,9 @@ def run_campaign(spec: CampaignSpec,
             AdaptivePoint(
                 target=point.target, cap=point.cap,
                 runner=(lambda allocation, prior, round_index, *,
-                        _point=point: sample(_point, allocation, prior,
-                                             stage=round_index + 1)),
+                        _point=point: sampler.sample(
+                            _point, allocation, prior,
+                            stage=round_index + 1)),
                 tally=point.tally,
             )
             for point in fresh
@@ -1202,16 +1132,9 @@ def run_campaign(spec: CampaignSpec,
                 flush(point)
             emit("refine", round_index)
 
-        spent_before_refine = spent
-        spent_after = run_adaptive_refine(adaptive, effective_budget, spent,
-                                          after_round=flush_round,
-                                          should_stop=stop,
-                                          before_round=adopt_external)
-        # The refine spend is everything beyond what we carried in,
-        # minus the external finals adopted between rounds (those were
-        # sampled elsewhere; ``adopt_external`` fed them into the
-        # engine's budget arithmetic but they are not our sampling).
-        shots_sampled += spent_after - spent_before_refine - shots_external
+        run_adaptive_refine(adaptive, effective_budget, spent,
+                            after_round=flush_round, should_stop=stop,
+                            before_round=adopt_external)
         if stop is not None and stop():
             interrupt("campaign interrupted during refine")
 
@@ -1236,11 +1159,9 @@ def run_campaign(spec: CampaignSpec,
         budget=effective_budget,
         points_total=len(sampled_points),
         points_reused=len(sampled_points) - len(fresh),
-        # Replayed stages flowed through the same counters as sampling
-        # (they spend budget identically); split them back out here.
-        shots_sampled=shots_sampled - shots_replayed,
+        shots_sampled=sampler.sampled,
         shots_reused=shots_reused,
-        shots_replayed=shots_replayed,
+        shots_replayed=sampler.replayed,
         shots_external=shots_external,
         targets_met=targets_met,
         store_path=str(store.path) if store is not None else None,

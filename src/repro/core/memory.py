@@ -44,8 +44,13 @@ from repro.core.phenomenological import (
 from repro.core.stats import PrecisionTarget, as_precision_target
 from repro.linalg.native import simulation_backend
 from repro.noise.hardware import HardwareNoiseModel
-from repro.parallel.pipeline import ExperimentHandle, SharedPool, ShardedExperiment
-from repro.parallel.sharded import DecoderHandle, resolve_workers
+from repro.parallel.pipeline import (
+    DecoderHandle,
+    ExperimentHandle,
+    SharedPool,
+    ShardedExperiment,
+    resolve_workers,
+)
 from repro.sim.dem import DemStructureCache
 
 __all__ = ["MemoryExperiment", "MemoryResult", "effective_rounds",

@@ -1,22 +1,17 @@
 """Fused sample→decode pipeline, sharded and *streamed* across workers.
 
-PR 2 sharded the *decode* stage: the parent sampled every shot, then
-pickled syndrome slices out to a process pool.  At 100k–1M shot budgets
-that leaves the Pauli-frame sampler and the syndrome transfer as the
-serial wall-clock floor.  This module moves the whole per-shard pipeline
-into the worker: each shard **samples its own shots and decodes them
-locally**, so syndromes never cross a process boundary and the sampling
-of one shard overlaps the decoding of another.
+Each shard **samples its own shots and decodes them locally** inside a
+worker, so syndromes never cross a process boundary and the sampling of
+one shard overlaps the decoding of another.
 
-PR 4 turns the executor from submit-all/gather-all into a **streaming
-engine**: shard results are consumed as they complete, folded into a
-running ``(failures, shots)`` tally, and fed through a Wilson
-confidence interval (:mod:`repro.core.stats`); once the interval's
-half-width reaches a caller-supplied ``target_precision`` the run stops
-— outstanding shards are cancelled and unsubmitted work is never
-materialized.  Low-noise operating points that would have burned their
-whole fixed budget now spend only the shots their confidence width
-actually needs.
+The executor is a **streaming engine**: shard results are consumed as
+they complete, folded into a running ``(failures, shots)`` tally, and
+fed through a Wilson confidence interval (:mod:`repro.core.stats`);
+once the interval's half-width reaches a caller-supplied
+``target_precision`` the run stops — outstanding shards are cancelled
+and unsubmitted work is never materialized.  Low-noise operating points
+that would have burned their whole fixed budget spend only the shots
+their confidence width actually needs.
 
 Determinism contract
 --------------------
@@ -50,49 +45,48 @@ per-shard code path in the parent and is the cross-checked reference
 Design
 ------
 * :class:`ExperimentHandle` is a picklable recipe for the whole
-  pipeline: the decoder recipe (:class:`~repro.parallel.sharded.DecoderHandle`
-  — check matrix, priors, BP/OSD knobs, backend), the observable
-  matrix, and the sampling method (``"phenomenological"`` samples
-  mechanism errors against the check matrix; ``"circuit"`` frame-
-  simulates a circuit shipped per operating point).
-* :class:`ShardedExperiment` owns the lazily created
-  ``ProcessPoolExecutor``.  Workers receive the handle once via the
-  pool initializer and build the decoder + packed matrices on their
-  first shard; each shard task then ships only the per-point priors
-  and the per-shard seed.  Submission is bounded (a small in-flight
-  window per worker), so an early stop leaves the tail of the budget
-  unmaterialized instead of queued.
-* For the circuit method, each worker keeps a small **circuit cache**
-  keyed on a content fingerprint (:func:`circuit_fingerprint`, the
-  same structural-key idea as ``DemStructureCache``'s fault skeleton,
-  plus the noise rates): the parent ships the operating point's
-  circuit with only the first ``workers`` tasks; later tasks carry the
-  key alone, and a worker that misses (it never saw a payload task for
-  that point) raises a retry sentinel so the parent resubmits that one
-  shard with the payload attached.  Per point, the circuit crosses the
-  process boundary O(workers) times instead of O(shards) times
+  pipeline: the decoder recipe (:class:`DecoderHandle` — check matrix,
+  priors, BP/OSD knobs, backend), the observable matrix, and the
+  sampling method (``"phenomenological"`` samples mechanism errors
+  against the check matrix; ``"circuit"`` frame-simulates a circuit
+  shipped per operating point).
+* Every multi-shard run streams through a :class:`SharedPool`: the
+  caller's (one pool serving a campaign's sweeps over different codes)
+  or, when none is given, a private one that the experiment creates on
+  its first multi-shard run and closes in :meth:`ShardedExperiment.close`.
+  Submission is bounded (a small in-flight window per worker), so an
+  early stop leaves the tail of the budget unmaterialized instead of
+  queued.
+* Workers hold two content-addressed LRU caches — pipeline states keyed
+  on :func:`handle_fingerprint`, circuits keyed on
+  :func:`circuit_fingerprint` — and every task speaks one
+  payload-then-key protocol with both: the parent attaches the handle
+  (and, for the circuit method, the operating point's circuit) to the
+  first ``workers`` tasks of a run, later tasks carry the keys alone,
+  and a worker that misses raises a retry sentinel so the parent
+  resubmits that one shard with every payload attached.  The retried
+  shard runs the identical ``(priors, seed, shots)``, so the result is
+  unchanged, and per point the payloads cross the process boundary
+  O(workers) times instead of O(shards) times
   (``ShardedExperiment.last_run_stats`` records the counts).
 * The sweep caches stay in the parent: ``MemoryExperiment`` reuses its
   ``DemStructureCache`` / space-time structure across points and hands
   the pipeline the *same* check-matrix object each time, so the handle
   (and the workers' decoder structure) is built exactly once per sweep.
-* A :class:`SharedPool` lets *several* experiments — a campaign's
-  sweeps over different codes — stream through **one** process pool.
-  Workers keep a small LRU of pipeline states keyed on a content
-  fingerprint of the handle (:func:`handle_fingerprint`); the parent
-  ships each experiment's handle with its first ``workers`` tasks and
-  later tasks carry the key alone, with the same miss-retry fallback
-  as the circuit cache.  Shard seeds, sizes and fold order are
-  untouched, so pooled runs stay bit-identical to dedicated-pool and
-  in-process runs.
+* A dead worker breaks the pool; :meth:`SharedPool.rebuild` respawns it
+  within a lifetime budget (``max_shard_retries`` for a private pool)
+  and the lost shards re-run from their seed-tree children.  A pool
+  past its budget is :attr:`SharedPool.failed`, and every later run on
+  it executes in-process — bit-identically, only slower.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import monotonic
 
 import numpy as np
@@ -100,13 +94,14 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.core.phenomenological import sample_phenomenological_shard
 from repro.core.stats import PrecisionTarget, as_precision_target, binomial_interval
+from repro.decoders.bposd import BPOSDDecoder
 from repro.linalg.bitops import pack_bits, packed_matmul
 from repro.linalg.native import simulation_backend
 from repro.parallel.faults import active_plan, apply_task_fault
-from repro.parallel.sharded import DecoderHandle, resolve_workers
 from repro.sim.frame import sample_circuit_shard
 
 __all__ = [
+    "DecoderHandle",
     "ExperimentHandle",
     "PoolUnavailable",
     "SharedPool",
@@ -114,6 +109,7 @@ __all__ = [
     "PipelineResult",
     "circuit_fingerprint",
     "handle_fingerprint",
+    "resolve_workers",
     "shard_layout",
     "shard_seed_tree",
 ]
@@ -124,6 +120,67 @@ class PoolUnavailable(RuntimeError):
     budget.  The pipeline recovers by draining the remaining shards
     in-process (bit-identically — each shard is a pure function of its
     seed), so callers only see this if they ask the pool directly."""
+
+
+def resolve_workers(workers: int | None) -> int:
+    """Normalise a ``workers=`` knob: ``None`` -> 1, ``0`` -> cpu_count.
+
+    ``None`` (the default everywhere) means "in-process, single core";
+    ``0`` asks for one worker per available core; any positive integer
+    is taken literally.  Negative values are rejected.
+    """
+    if workers is None:
+        return 1
+    workers = int(workers)
+    if workers < 0:
+        raise ValueError("workers must be >= 0 (0 = one per core) or None")
+    if workers == 0:
+        return os.cpu_count() or 1
+    return workers
+
+
+@dataclass(frozen=True)
+class DecoderHandle:
+    """Picklable recipe for rebuilding a BP+OSD decoder in any process."""
+
+    check_matrix: np.ndarray
+    priors: np.ndarray
+    max_iterations: int = 50
+    osd_order: int = 0
+    scaling_factor: float = 0.75
+    backend: str = "packed"
+    block_shots: int = 2048
+    factor_cache_size: int = 32
+
+    @classmethod
+    def from_decoder(cls, decoder: BPOSDDecoder) -> "DecoderHandle":
+        """Handle reproducing an existing decoder's configuration."""
+        return cls(
+            check_matrix=decoder.check_matrix,
+            priors=decoder.priors,
+            max_iterations=decoder.max_iterations,
+            osd_order=decoder.osd_order,
+            scaling_factor=decoder.scaling_factor,
+            backend=decoder.backend,
+            block_shots=decoder.block_shots,
+            factor_cache_size=decoder.factor_cache_size,
+        )
+
+    def build(self) -> BPOSDDecoder:
+        """Construct the decoder this handle describes."""
+        return BPOSDDecoder(
+            self.check_matrix, self.priors,
+            max_iterations=self.max_iterations,
+            osd_order=self.osd_order,
+            scaling_factor=self.scaling_factor,
+            backend=self.backend,
+            block_shots=self.block_shots,
+            factor_cache_size=self.factor_cache_size,
+        )
+
+    def with_priors(self, priors: np.ndarray) -> "DecoderHandle":
+        """Same structure, new per-mechanism priors (sweep re-point)."""
+        return replace(self, priors=np.asarray(priors, dtype=float))
 
 
 def shard_layout(shots: int, shard_shots: int) -> list[int]:
@@ -370,103 +427,49 @@ class _PipelineState:
                 decoded.errors if collect_errors else None)
 
 
-class _CircuitCacheMiss(RuntimeError):
-    """Raised by a worker whose circuit cache lacks the task's key.
+class _CacheMiss(RuntimeError):
+    """Raised by a worker whose cache lacks a key-only task's key.
 
-    The parent resubmits the shard with the circuit payload attached;
-    the retried shard runs the identical ``(priors, seed, shots)`` so
-    the result is unchanged.  ``args[0]`` carries the missing key
-    (plain-args exceptions pickle cleanly across the pool boundary).
+    The parent resubmits the shard with every payload attached; the
+    retried shard runs the identical ``(priors, seed, shots)`` so the
+    result is unchanged.  ``args`` are ``(kind, key)`` — plain args, so
+    the exception pickles cleanly across the pool boundary.
     """
 
 
-class _HandleCacheMiss(RuntimeError):
-    """Raised by a shared-pool worker whose state cache lacks the task's
-    handle key.  Same protocol as :class:`_CircuitCacheMiss`: the parent
-    resubmits the identical shard with the handle payload attached."""
+class _WorkerCache:
+    """Content-addressed LRU inside a pool worker: payload or miss.
 
-
-#: How many circuits a worker retains (sweeps revisit at most a couple
-#: of operating points at a time; each circuit is a few KB).
-_WORKER_CIRCUIT_CAPACITY = 4
-
-# Per-process worker state: the handle arrives once via the pool
-# initializer; the pipeline state it describes is built lazily on the
-# first shard and re-priored (never rebuilt) on subsequent shards.  The
-# circuit cache maps fingerprint keys to circuits shipped by payload
-# tasks (circuit method only).
-_WORKER_HANDLE: ExperimentHandle | None = None
-_WORKER_STATE: _PipelineState | None = None
-_WORKER_CIRCUITS: "OrderedDict[str, Circuit]" = OrderedDict()
-
-
-def _init_pipeline_worker(handle: ExperimentHandle) -> None:
-    global _WORKER_HANDLE, _WORKER_STATE
-    _WORKER_HANDLE = handle
-    _WORKER_STATE = None
-    _WORKER_CIRCUITS.clear()
-
-
-def _resolve_worker_circuit(circuit: Circuit | None,
-                            circuit_key: str | None) -> Circuit | None:
-    """Cache-or-resolve a task's circuit inside the worker.
-
-    A payload task stores the circuit under its key (LRU-bounded); a
-    key-only task resolves it from the cache or raises
-    :class:`_CircuitCacheMiss` for the parent to retry with payload.
+    A task carrying a payload fills the entry for its key (built by
+    ``build``); a key-only task resolves the entry or raises
+    :class:`_CacheMiss` tagged with this cache's ``kind``.
     """
-    if circuit_key is None:
-        return circuit
-    if circuit is not None:
-        _WORKER_CIRCUITS[circuit_key] = circuit
-        _WORKER_CIRCUITS.move_to_end(circuit_key)
-        while len(_WORKER_CIRCUITS) > _WORKER_CIRCUIT_CAPACITY:
-            _WORKER_CIRCUITS.popitem(last=False)
-        return circuit
-    circuit = _WORKER_CIRCUITS.get(circuit_key)
-    if circuit is None:
-        raise _CircuitCacheMiss(circuit_key)
-    _WORKER_CIRCUITS.move_to_end(circuit_key)
-    return circuit
+
+    def __init__(self, kind: str, capacity: int, build=None) -> None:
+        self.kind = kind
+        self.capacity = capacity
+        self.build = build
+        self._entries: OrderedDict = OrderedDict()
+
+    def resolve(self, key: str, payload):
+        entry = self._entries.get(key)
+        if entry is None:
+            if payload is None:
+                raise _CacheMiss(self.kind, key)
+            entry = payload if self.build is None else self.build(payload)
+            self._entries[key] = entry
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        self._entries.move_to_end(key)
+        return entry
 
 
-def _run_pipeline_shard(priors: np.ndarray, circuit: Circuit | None,
-                        circuit_key: str | None,
-                        seed: np.random.SeedSequence, shots: int,
-                        collect_errors: bool, fault: tuple | None = None
-                        ) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """Sample and decode one shard inside a worker process.
-
-    ``circuit`` is the optional payload populating this worker's cache
-    under ``circuit_key``; a keyed task without payload resolves the
-    circuit from the cache or raises :class:`_CircuitCacheMiss` for the
-    parent to retry with the payload attached.  ``fault`` is an
-    injected fault shipped by the parent (worker kill / delay — see
-    :mod:`repro.parallel.faults`); ``None`` on every clean run.
-    """
-    global _WORKER_STATE
-    apply_task_fault(fault)
-    if _WORKER_HANDLE is None:
-        raise RuntimeError("worker pool was not initialised with a handle")
-    if _WORKER_STATE is None:
-        _WORKER_STATE = _WORKER_HANDLE.build_state()
-    circuit = _resolve_worker_circuit(circuit, circuit_key)
-    return _WORKER_STATE.run_shard(priors, circuit, seed, shots,
-                                   collect_errors)
-
-
-#: How many pipeline states a shared-pool worker retains.  A campaign
-#: typically cycles through a handful of codes; states for evicted
-#: handles are rebuilt on demand (cost: one decoder construction).
-_SHARED_STATE_CAPACITY = 8
-
-#: Shared-pool worker cache: handle fingerprint -> built pipeline state.
-_SHARED_STATES: "OrderedDict[str, _PipelineState]" = OrderedDict()
-
-
-def _init_shared_worker() -> None:
-    _SHARED_STATES.clear()
-    _WORKER_CIRCUITS.clear()
+# Per-process worker caches.  A campaign typically cycles through a
+# handful of codes (states for evicted handles are rebuilt on demand,
+# at the cost of one decoder construction); a sweep revisits at most a
+# couple of operating points at a time, each circuit a few KB.
+_WORKER_STATES = _WorkerCache("handle", 8, ExperimentHandle.build_state)
+_WORKER_CIRCUITS = _WorkerCache("circuit", 4)
 
 
 def _run_shared_shard(handle: ExperimentHandle | None, handle_key: str,
@@ -475,27 +478,18 @@ def _run_shared_shard(handle: ExperimentHandle | None, handle_key: str,
                       seed: np.random.SeedSequence, shots: int,
                       collect_errors: bool, fault: tuple | None = None
                       ) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """Shared-pool variant of :func:`_run_pipeline_shard`.
+    """Sample and decode one shard inside a pool worker.
 
-    The pipeline state is addressed by ``handle_key``; ``handle`` is
-    the optional payload that populates the cache (shipped with each
-    experiment's first ``workers`` tasks).  A key-only task that misses
-    raises :class:`_HandleCacheMiss` for the parent to retry with the
-    payload attached — the retried shard runs the identical
-    ``(priors, seed, shots)``, so the result is unchanged.  ``fault``
-    is a parent-shipped injected fault (``None`` on clean runs).
+    The pipeline state is addressed by ``handle_key`` and the circuit
+    (circuit method only) by ``circuit_key``; ``handle``/``circuit``
+    are the optional payloads that fill the worker caches.  ``fault``
+    is an injected fault shipped by the parent (worker kill / delay —
+    see :mod:`repro.parallel.faults`); ``None`` on every clean run.
     """
     apply_task_fault(fault)
-    state = _SHARED_STATES.get(handle_key)
-    if state is None:
-        if handle is None:
-            raise _HandleCacheMiss(handle_key)
-        state = handle.build_state()
-        _SHARED_STATES[handle_key] = state
-        while len(_SHARED_STATES) > _SHARED_STATE_CAPACITY:
-            _SHARED_STATES.popitem(last=False)
-    _SHARED_STATES.move_to_end(handle_key)
-    circuit = _resolve_worker_circuit(circuit, circuit_key)
+    state = _WORKER_STATES.resolve(handle_key, handle)
+    if circuit_key is not None:
+        circuit = _WORKER_CIRCUITS.resolve(circuit_key, circuit)
     return state.run_shard(priors, circuit, seed, shots, collect_errors)
 
 
@@ -503,15 +497,16 @@ class SharedPool:
     """One process pool serving many :class:`ShardedExperiment` instances.
 
     A campaign runs sweeps over different codes — different check
-    matrices, hence different pipeline handles.  A dedicated pool per
-    experiment would respawn processes (and rebuild worker state) per
-    sweep; a ``SharedPool`` keeps one executor alive across all of
-    them, with per-handle worker state resolved through
+    matrices, hence different pipeline handles.  A pool per experiment
+    would respawn processes (and rebuild worker state) per sweep; one
+    ``SharedPool`` keeps one executor alive across all of them, with
+    per-handle worker state resolved through
     :func:`_run_shared_shard`'s fingerprint-keyed cache.
 
     Pass it as ``ShardedExperiment(pool=...)`` (or
     ``MemoryExperiment(pool=...)``); the experiments then treat the
     pool as externally owned — their ``close()`` leaves it running.
+    An experiment given no pool creates a private one of its own.
     Use as a context manager, or call :meth:`close`, to shut it down.
 
     The pool is **self-healing**: when a worker dies (``os._exit``,
@@ -541,10 +536,7 @@ class SharedPool:
                 f"shared pool gave up after {self.rebuilds} rebuilds")
         if self._executor is None:
             from concurrent.futures import ProcessPoolExecutor
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_shared_worker,
-            )
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 
     @property
@@ -591,12 +583,6 @@ class SharedPool:
         except Exception:
             pass
 
-    def __del__(self) -> None:  # pragma: no cover - GC backstop
-        try:
-            self.close()
-        except Exception:
-            pass
-
 
 @dataclass
 class ShardedExperiment:
@@ -617,11 +603,12 @@ class ShardedExperiment:
         is also the early-stop granularity: the stop rule is evaluated
         once per folded shard.
     pool:
-        Optional :class:`SharedPool` to stream through instead of a
-        dedicated executor — the worker count then comes from the pool,
-        and :meth:`close` leaves the pool running (it is owned by the
-        caller, typically a campaign spanning several experiments).
-        Results are bit-identical with or without a shared pool.
+        Optional :class:`SharedPool` to stream through — the worker
+        count then comes from the pool, and :meth:`close` leaves the
+        pool running (it is owned by the caller, typically a campaign
+        spanning several experiments).  Without one, the first
+        multi-shard run creates a private pool that :meth:`close`
+        shuts down.  Results are bit-identical either way.
     shard_timeout:
         Optional per-shard wall-clock limit (seconds).  A shard still
         pending past its deadline is treated exactly like a pool
@@ -631,21 +618,23 @@ class ShardedExperiment:
     max_shard_retries:
         How many pool failures (worker death / timeout) one :meth:`run`
         tolerates before degrading to in-process execution (default 3).
+        It is also the private pool's lifetime rebuild budget.
 
     Fault tolerance: a dead worker breaks the whole
     ``ProcessPoolExecutor``; the run detects it (``BrokenExecutor`` or
-    a ``shard_timeout`` expiry), respawns the executor (its own, or
-    ``pool.rebuild()``), and re-submits every lost shard with its
-    payload re-attached.  The retried shards run the identical
-    ``(priors, seed, shots)``, and folds stay in shard-index order, so
-    **results under any fault schedule are bit-identical to the
-    fault-free run**.  When the pool cannot be rebuilt the remaining
-    shards drain in-process (``last_run_stats["local_fallback"]``).
+    a ``shard_timeout`` expiry), respawns it with ``pool.rebuild()``,
+    and re-submits every lost shard with its payloads re-attached.  The
+    retried shards run the identical ``(priors, seed, shots)``, and
+    folds stay in shard-index order, so **results under any fault
+    schedule are bit-identical to the fault-free run**.  When the pool
+    cannot be rebuilt the remaining shards drain in-process
+    (``last_run_stats["local_fallback"]``), and every later run on the
+    :attr:`~SharedPool.failed` pool goes in-process from the start.
 
-    The executor is created lazily on the first multi-shard run and
-    reused across calls (a sweep pays the process-spawn cost once);
-    :meth:`close` — or using the instance as a context manager —
-    releases it.  ``last_run_stats`` records, for the most recent
+    The private pool is created lazily on the first multi-shard run
+    and reused across calls (a sweep pays the process-spawn cost
+    once); :meth:`close` — or using the instance as a context manager
+    — releases it.  ``last_run_stats`` records, for the most recent
     :meth:`run`, the submission/fold counters the instrumentation tests
     assert on.
     """
@@ -658,13 +647,12 @@ class ShardedExperiment:
     max_shard_retries: int | None = None
     last_run_stats: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
-    _executor: object | None = field(default=None, init=False, repr=False)
+    _owns_pool: bool = field(default=False, init=False, repr=False)
     _local: _PipelineState | None = field(default=None, init=False,
                                           repr=False)
     _circuit_key_memo: tuple | None = field(default=None, init=False,
                                             repr=False)
     _handle_key: str | None = field(default=None, init=False, repr=False)
-    _pool_gone: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.pool is not None:
@@ -764,8 +752,7 @@ class ShardedExperiment:
         # A pool that already exhausted its rebuild budget (this run's
         # or a previous one's) is not worth submitting to: run the
         # identical per-shard code in-process instead.
-        pool_dead = (self._pool_gone
-                     or (self.pool is not None and self.pool.failed))
+        pool_dead = self.pool is not None and self.pool.failed
         if pool_dead:
             stats["local_fallback"] = True
         if not met:
@@ -842,7 +829,7 @@ class ShardedExperiment:
 
         Fault tolerance: ``BrokenExecutor`` (a worker died) and shard
         timeouts both funnel into :func:`recover` — drop every pending
-        future, respawn the executor and re-submit the lost shards with
+        future, rebuild the pool and re-submit the lost shards with
         payloads re-attached.  The retried shards run the identical
         ``(priors, seed, shots)``, so no fault schedule can change the
         folded prefix.  When the retry budget is spent, the remaining
@@ -855,19 +842,19 @@ class ShardedExperiment:
             if circuit is None:
                 raise ValueError("the circuit method needs a circuit per run")
             circuit_key = self._circuit_key(circuit)
-        shared = self.pool is not None
-        if shared and self._handle_key is None:
+        if self._handle_key is None:
             self._handle_key = handle_fingerprint(self.handle)
-        executor = self._ensure_executor()
+        pool = self._ensure_pool()
+        executor = pool.executor
         plan = active_plan()
         # Enough in-flight work to keep every worker busy while the
         # prefix folds, small enough that an early stop wastes at most
         # ~two shards per worker.
         max_inflight = max(2 * self.workers, 2)
         # The first `workers` tasks carry the heavyweight payloads (the
-        # handle on a shared pool, the circuit for the circuit method);
-        # later tasks address the worker caches by key alone.
-        payload_quota = self.workers if (needs_circuit or shared) else 0
+        # handle, plus the circuit for the circuit method); later tasks
+        # address the worker caches by key alone.
+        payload_quota = self.workers
 
         pending: dict = {}
         deadlines: dict = {}
@@ -881,37 +868,34 @@ class ShardedExperiment:
             payload = circuit if (needs_circuit and with_payload) else None
             if payload is not None:
                 stats["circuit_payload_tasks"] += 1
+            handle = self.handle if with_payload else None
+            if handle is not None:
+                stats["handle_payload_tasks"] += 1
             stats["tasks_submitted"] += 1
             fault = plan.next_task_fault() if plan is not None else None
-            if shared:
-                handle = self.handle if with_payload else None
-                if handle is not None:
-                    stats["handle_payload_tasks"] += 1
-                future = executor.submit(
-                    _run_shared_shard, handle, self._handle_key, priors,
-                    payload, circuit_key, seeds[index], sizes[index],
-                    collect_errors, fault,
-                )
-            else:
-                future = executor.submit(
-                    _run_pipeline_shard, priors, payload, circuit_key,
-                    seeds[index], sizes[index], collect_errors, fault,
-                )
+            future = executor.submit(
+                _run_shared_shard, handle, self._handle_key, priors,
+                payload, circuit_key, seeds[index], sizes[index],
+                collect_errors, fault,
+            )
             pending[future] = index
             if self.shard_timeout is not None:
                 deadlines[future] = monotonic() + self.shard_timeout
 
         def recover(extra_lost=()) -> None:
-            """Pool failure: respawn the executor, re-submit lost shards.
+            """Pool failure: rebuild the pool, re-submit lost shards.
 
             Every shard not yet in ``ready``/``outcomes`` — pending
             futures plus any index the caller already popped — re-runs
             with its original seed-tree child, and the fresh workers'
             empty caches get the payloads re-shipped, so recovery is
-            invisible to the folded result.
+            invisible to the folded result.  The pool's own rebuild
+            budget is spent first, so a run that exhausts it leaves the
+            pool :attr:`~SharedPool.failed` for every later run.
             """
             nonlocal executor, payload_quota
             stats["pool_failures"] += 1
+            executor = pool.rebuild()
             if stats["pool_failures"] > self.max_shard_retries:
                 raise PoolUnavailable(
                     f"worker pool failed {stats['pool_failures']} times "
@@ -921,9 +905,7 @@ class ShardedExperiment:
                 future.cancel()
             pending.clear()
             deadlines.clear()
-            executor = self._rebuild_executor()
-            payload_quota = (self.workers if (needs_circuit or shared)
-                             else 0)
+            payload_quota = self.workers
             stats["shards_resubmitted"] += len(lost)
             for index in lost:
                 submit(index, with_payload=payload_quota > 0)
@@ -977,13 +959,10 @@ class ShardedExperiment:
                     try:
                         ready[index] = future.result()
                         stats["shards_run"] += 1
-                    except (_CircuitCacheMiss, _HandleCacheMiss) as miss:
+                    except _CacheMiss as miss:
                         # A retry re-ships every payload, so one retry
                         # always suffices for the worker that ran it.
-                        if isinstance(miss, _HandleCacheMiss):
-                            stats["handle_cache_misses"] += 1
-                        else:
-                            stats["circuit_cache_misses"] += 1
+                        stats[f"{miss.args[0]}_cache_misses"] += 1
                         if retries.get(index, 0) >= 2:
                             raise
                         retries[index] = retries.get(index, 0) + 1
@@ -999,7 +978,6 @@ class ShardedExperiment:
             # is a pure function of (priors, seed, shots), so the result
             # is still bit-identical to a clean run.
             stats["local_fallback"] = True
-            self._pool_gone = self.pool is None
             while not met and len(outcomes) < len(sizes):
                 index = len(outcomes)
                 outcome = ready.pop(index, None)
@@ -1022,38 +1000,25 @@ class ShardedExperiment:
         return outcomes, met
 
     # ------------------------------------------------------------------
-    def _ensure_executor(self):
-        if self.pool is not None:
-            return self.pool.executor
-        if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_pipeline_worker,
-                initargs=(self.handle,),
-            )
-        return self._executor
+    def _ensure_pool(self) -> SharedPool:
+        """The pool to stream through: the caller's, else a private one
+        whose rebuild budget is this experiment's ``max_shard_retries``."""
+        if self.pool is None:
+            self.pool = SharedPool(self.workers,
+                                   max_rebuilds=self.max_shard_retries)
+            self._owns_pool = True
+        return self.pool
 
-    def _rebuild_executor(self):
-        """Respawn a broken executor (dedicated: drop + recreate; shared:
-        the pool's bounded :meth:`SharedPool.rebuild`)."""
-        if self.pool is not None:
-            return self.pool.rebuild()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        return self._ensure_executor()
-
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the dedicated worker pool, if any (idempotent).
+        """Shut down the private worker pool, if any (idempotent).
 
         A :class:`SharedPool` passed in at construction is owned by the
         caller and is deliberately left running.
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+        if self._owns_pool:
+            self.pool.close()
+            self.pool = None
+            self._owns_pool = False
 
     def __enter__(self) -> "ShardedExperiment":
         return self

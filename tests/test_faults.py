@@ -19,9 +19,6 @@ Layer by layer:
 
 from __future__ import annotations
 
-import os
-import signal
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,7 +204,7 @@ class TestPipelineRecovery:
         assert stats["pool_failures"] == 0
 
     def test_exhausted_retries_fall_back_in_process(self, memory_reference):
-        """Kill every submission: the dedicated pool cannot make
+        """Kill every submission: the private pool cannot make
         progress, so the run must degrade to in-process execution —
         and still match the fault-free result exactly."""
         got, stats = _run_memory(2, FaultPlan(kills=tuple(range(64))),
@@ -215,6 +212,25 @@ class TestPipelineRecovery:
         assert got == memory_reference
         assert stats["local_fallback"]
         assert stats["pool_failures"] == 3  # retries + the final straw
+
+    def test_exhausted_private_pool_sends_later_runs_in_process(
+            self, memory_reference):
+        """With no SharedPool, a run that spends ``max_shard_retries``
+        leaves the experiment's private pool failed: the next run goes
+        in-process from the start, still matching the fault-free run."""
+        code = code_by_name("repetition-d3")
+        with MemoryExperiment(code=code, rounds=2, workers=2,
+                              shard_shots=16,
+                              max_shard_retries=1) as experiment:
+            with activate(FaultPlan(kills=tuple(range(64)))):
+                first = experiment.run(8e-3, 100.0, shots=160, seed=5)
+            assert (first.failures, first.shots) == memory_reference
+            assert experiment._pipeline.last_run_stats["local_fallback"]
+            again = experiment.run(8e-3, 100.0, shots=160, seed=5)
+            stats = dict(experiment._pipeline.last_run_stats)
+        assert (again.failures, again.shots) == memory_reference
+        assert stats["local_fallback"]
+        assert stats["pool_failures"] == 0
 
     def test_fault_free_run_reports_clean_stats(self, memory_reference):
         got, stats = _run_memory(2)
@@ -266,35 +282,6 @@ class TestSharedPoolSelfHealing:
         with pytest.raises(PoolUnavailable):
             _ = pool.executor
         pool.close()
-
-
-class TestShardedDecoderRecovery:
-    def test_dead_worker_recovers_bit_identically(self):
-        """Kill a pool worker between batches: the next decode hits
-        BrokenExecutor, respawns the pool and re-decodes identically."""
-        import numpy as np
-
-        from repro.core.phenomenological import build_phenomenological_model
-        from repro.noise import HardwareNoiseModel
-        from repro.parallel import DecoderHandle, ShardedDecoder
-
-        code = code_by_name("repetition-d3")
-        noise = HardwareNoiseModel.from_physical_error_rate(
-            8e-3, round_latency_us=100.0)
-        model = build_phenomenological_model(code, noise, rounds=2)
-        syndromes, _ = model.sample(96, seed=np.random.SeedSequence(5))
-        handle = DecoderHandle(model.check_matrix, model.priors,
-                               max_iterations=12)
-        reference = handle.build().decode_batch(syndromes)
-        with ShardedDecoder(handle, workers=2, shard_shots=16) as decoder:
-            warm = decoder.decode_batch(syndromes)
-            assert np.array_equal(warm.errors, reference.errors)
-            victim = next(iter(decoder._executor._processes))
-            os.kill(victim, signal.SIGKILL)
-            recovered = decoder.decode_batch(syndromes)
-        assert np.array_equal(recovered.errors, reference.errors)
-        assert np.array_equal(recovered.bp_converged,
-                              reference.bp_converged)
 
 
 class TestCampaignFaultInvariance:

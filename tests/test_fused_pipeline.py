@@ -31,6 +31,7 @@ from repro.parallel import (
     ExperimentHandle,
     SharedPool,
     ShardedExperiment,
+    resolve_workers,
     shard_layout,
     shard_seed_tree,
 )
@@ -374,3 +375,68 @@ class TestSharedPoolLifecycle:
             assert not pool.failed
         assert result.failures == reference.failures
         assert np.array_equal(result.errors, reference.errors)
+
+
+class TestResolveWorkers:
+    def test_none_means_in_process(self):
+        assert resolve_workers(None) == 1
+
+    def test_zero_means_cpu_count(self):
+        assert resolve_workers(0) >= 1
+
+    def test_positive_passthrough(self):
+        assert resolve_workers(3) == 3
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            resolve_workers(-2)
+
+
+class TestMemoryExperimentWorkers:
+    #: Operating point hot enough that failures and the BP-unconverged
+    #: fraction are non-trivial — a sharding bug that reordered or
+    #: dropped shots would show up in either number.
+    P, LATENCY, SHOTS = 3e-3, 100_000.0, 240
+
+    def _run(self, bb72, workers):
+        with MemoryExperiment(code=bb72, rounds=2, seed=11,
+                              shard_shots=64) as experiment:
+            return experiment.run(self.P, self.LATENCY, shots=self.SHOTS,
+                                  workers=workers)
+
+    def test_identical_memory_result_for_any_worker_count(self, bb72):
+        results = {w: self._run(bb72, w) for w in (1, 2, 4)}
+        baseline = results[1]
+        assert baseline.failures > 0  # non-trivial operating point
+        for workers, result in results.items():
+            assert result.failures == baseline.failures, workers
+            assert result.shots == baseline.shots
+            assert result.metadata == baseline.metadata
+
+    def test_workers_zero_uses_cpu_count(self, bb72):
+        result = self._run(bb72, 0)
+        assert result.failures == self._run(bb72, 1).failures
+
+    def test_sweep_reuses_pool_across_points(self, bb72):
+        with MemoryExperiment(code=bb72, rounds=2, seed=5, workers=2,
+                              shard_shots=64) as experiment:
+            first = experiment.run(self.P, self.LATENCY, shots=self.SHOTS)
+            pipeline = experiment._pipeline
+            assert pipeline is not None
+            second = experiment.run(1e-3, 50_000.0, shots=self.SHOTS)
+            # Same pipeline (and worker pool), re-priored per point.
+            assert experiment._pipeline is pipeline
+        assert first.failures >= second.failures
+
+    def test_circuit_method_workers_match_in_process(self):
+        from repro.codes import surface_code
+        code = surface_code(3)
+        results = []
+        for workers in (1, 2):
+            with MemoryExperiment(code=code, rounds=2, method="circuit",
+                                  seed=3, shard_shots=32) as experiment:
+                results.append(
+                    experiment.run(2e-3, 0.0, shots=100, workers=workers)
+                )
+        assert results[0].failures == results[1].failures
+        assert results[0].metadata == results[1].metadata
