@@ -171,7 +171,7 @@ class Compiler(abc.ABC):
         if not victims:
             return not_before
         victim = victims[-1]
-        destination = self._nearest_trap_with_space(device, trap)
+        destination = device.nearest_trap_with_space(trap)
         if destination is None:
             # Nowhere to put the ion: model the cost and over-fill.
             start = tracker.earliest_start([trap], not_before)
@@ -188,20 +188,6 @@ class Compiler(abc.ABC):
         device.place_ion(victim, destination, enforce_capacity=False)
         placement.qubit_to_trap[victim] = destination
         return end
-
-    @staticmethod
-    def _nearest_trap_with_space(device: QCCDDevice, trap: str) -> str | None:
-        import networkx as nx
-
-        lengths = nx.single_source_shortest_path_length(device.graph, trap)
-        candidates = [
-            (distance, node) for node, distance in lengths.items()
-            if node != trap and device.is_trap(node)
-            and device.free_space(node) > 0
-        ]
-        if not candidates:
-            return None
-        return min(candidates)[1]
 
     def gate_on_trap(self, compiled: CompiledSchedule, device: QCCDDevice,
                      tracker: ResourceTracker, trap: str,

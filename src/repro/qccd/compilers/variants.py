@@ -8,7 +8,8 @@ shuttled ion's pending work to avoid excess movement.  We reproduce
 their distinguishing heuristics on top of the shared EJF machinery:
 
 * :class:`ShuttleMinimizingCompiler` — prefers already co-located gates
-  and moves whichever ion (ancilla or data) has the shorter path.
+  and moves whichever ion (ancilla or data) is headed for the trap with
+  more free space.
 * :class:`MoveBatchingCompiler` — when an ancilla arrives at a trap, it
   immediately executes every remaining gate it has with data in that
   trap before anything else is dispatched for it.
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.codes.css import CSSCode
 from repro.codes.scheduling import StabilizerSchedule, x_then_z_schedule
@@ -34,7 +33,7 @@ __all__ = ["ShuttleMinimizingCompiler", "MoveBatchingCompiler"]
 
 @dataclass
 class ShuttleMinimizingCompiler(EJFGridCompiler):
-    """Baseline-2: co-location-first dispatch and cheapest-direction moves."""
+    """Baseline-2: co-location-first dispatch and free-space-directed moves."""
 
     label: str = "baseline2_shuttle_min"
 
@@ -46,15 +45,10 @@ class ShuttleMinimizingCompiler(EJFGridCompiler):
         data_trap = placement.trap_of(data_qubit)
         clock = ready_time
         if ancilla_trap != data_trap:
-            # Move whichever ion has the shorter path (and, on ties, the
-            # one whose destination trap has free space).
-            to_data = len(device.shortest_path(ancilla_trap, data_trap))
-            to_ancilla = len(device.shortest_path(data_trap, ancilla_trap))
-            move_data = to_ancilla < to_data or (
-                to_ancilla == to_data
-                and device.free_space(ancilla_trap) > device.free_space(data_trap)
-            )
-            if move_data:
+            # Both directions cover the same path on the undirected
+            # device, so move the data ion only when the ancilla's trap
+            # has more free space than the data's; else move the ancilla.
+            if device.free_space(ancilla_trap) > device.free_space(data_trap):
                 clock = self.shuttle_ion(
                     compiled, device, tracker, data_qubit, data_trap,
                     ancilla_trap, clock, placement,
@@ -153,9 +147,7 @@ class MoveBatchingCompiler(EJFGridCompiler):
             ready_time = max(ready_time, ancilla_available.get(ancilla_qubit, 0.0))
 
             # Visit the nearest trap holding pending data for this ancilla.
-            lengths = nx.single_source_shortest_path_length(
-                device.graph, ancilla_trap
-            )
+            lengths = device.distances_from(ancilla_trap)
             # Tie-break equidistant traps by name: iterating the raw set
             # would make the schedule depend on the interpreter's hash
             # seed (set order of strings varies across processes).

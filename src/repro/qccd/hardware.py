@@ -6,10 +6,13 @@ to ``capacity`` ions, degree at most 2, can run one gate at a time) or
 degree-dependent crossing cost).  Edges are shuttle segments traversed
 at the ``move`` cost.  Ions live in traps; the device tracks occupancy
 so compilers can detect capacity violations and trigger rebalances.
+Shortest paths and trap distances are memoized per device, because the
+graph never changes after construction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -49,6 +52,10 @@ class Junction:
 class QCCDDevice:
     """A QCCD machine: the trap/junction graph plus ion occupancy.
 
+    The graph is frozen after construction: the lookup tables and the
+    routing memos below are derived from it once, so callers must not
+    add or remove nodes or edges afterwards.
+
     Attributes
     ----------
     name:
@@ -68,10 +75,23 @@ class QCCDDevice:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._occupancy: dict[str, list[int]] = {
-            node: [] for node in self.trap_ids()
-        }
-        self._ion_location: dict[int, str] = {}
+        # Static lookup tables, in graph node order.
+        self._trap_capacity: dict[str, int] = {}
+        self._crossing_degree: dict[str, int] = {}
+        for node, element in self.graph.nodes(data="element"):
+            if isinstance(element, Trap):
+                self._trap_capacity[node] = element.capacity
+            elif isinstance(element, Junction):
+                self._crossing_degree[node] = (
+                    2 if element.l_shaped else self.graph.degree[node]
+                )
+        self._trap_ids = list(self._trap_capacity)
+        self._total_capacity = sum(self._trap_capacity.values())
+        # Routing memos, filled on first use.
+        self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._distances: dict[str, dict[str, int]] = {}
+        self._traps_by_distance: dict[str, list[str]] = {}
+        self.clear_ions()
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -80,24 +100,24 @@ class QCCDDevice:
         return self.graph.nodes[node_id]["element"]
 
     def is_trap(self, node_id: str) -> bool:
-        return isinstance(self.element(node_id), Trap)
+        return node_id in self._trap_capacity
 
     def is_junction(self, node_id: str) -> bool:
-        return isinstance(self.element(node_id), Junction)
+        return node_id in self._crossing_degree
 
     def trap_ids(self) -> list[str]:
-        return [n for n in self.graph.nodes if self.is_trap(n)]
+        return list(self._trap_ids)
 
     def junction_ids(self) -> list[str]:
-        return [n for n in self.graph.nodes if self.is_junction(n)]
+        return list(self._crossing_degree)
 
     @property
     def num_traps(self) -> int:
-        return len(self.trap_ids())
+        return len(self._trap_ids)
 
     @property
     def num_junctions(self) -> int:
-        return len(self.junction_ids())
+        return len(self._crossing_degree)
 
     @property
     def num_segments(self) -> int:
@@ -110,21 +130,19 @@ class QCCDDevice:
 
     def junction_crossing_degree(self, node_id: str) -> int:
         """Degree used for pricing a crossing (2 for L-shaped junctions)."""
-        element = self.element(node_id)
-        if not isinstance(element, Junction):
-            raise ValueError(f"{node_id} is not a junction")
-        if element.l_shaped:
-            return 2
-        return self.graph.degree[node_id]
+        try:
+            return self._crossing_degree[node_id]
+        except KeyError:
+            raise ValueError(f"{node_id} is not a junction") from None
 
     def trap_capacity(self, node_id: str) -> int:
-        element = self.element(node_id)
-        if not isinstance(element, Trap):
-            raise ValueError(f"{node_id} is not a trap")
-        return element.capacity
+        try:
+            return self._trap_capacity[node_id]
+        except KeyError:
+            raise ValueError(f"{node_id} is not a trap") from None
 
     def total_capacity(self) -> int:
-        return sum(self.trap_capacity(t) for t in self.trap_ids())
+        return self._total_capacity
 
     def validate_degrees(self) -> bool:
         """Traps may connect to at most two shuttling paths; junctions to four."""
@@ -171,26 +189,67 @@ class QCCDDevice:
         return max(len(self._occupancy[trap_id]), 2)
 
     def free_space(self, trap_id: str) -> int:
-        return self.trap_capacity(trap_id) - self.occupancy(trap_id)
+        return self.trap_capacity(trap_id) - len(self._occupancy[trap_id])
 
     def clear_ions(self) -> None:
-        self._occupancy = {node: [] for node in self.trap_ids()}
-        self._ion_location = {}
+        self._occupancy: dict[str, list[int]] = {
+            node: [] for node in self._trap_ids
+        }
+        self._ion_location: dict[int, str] = {}
 
     # ------------------------------------------------------------------
-    # Routing
+    # Routing (memoized per device: the graph never changes)
     # ------------------------------------------------------------------
-    def shortest_path(self, source: str, target: str) -> list[str]:
-        """Shortest node path between two traps (inclusive of endpoints)."""
-        return nx.shortest_path(self.graph, source, target)
+    def shortest_path(self, source: str, target: str) -> tuple[str, ...]:
+        """Shortest node path between two traps (inclusive of endpoints).
 
-    def path_junction_degrees(self, path: list[str]) -> list[int]:
+        Exactly ``nx.shortest_path`` (same tie-breaks), computed once per
+        pair and returned as the shared, immutable memo entry.
+        """
+        key = (source, target)
+        path = self._paths.get(key)
+        if path is None:
+            path = tuple(nx.shortest_path(self.graph, source, target))
+            self._paths[key] = path
+        return path
+
+    def distances_from(self, node: str) -> Mapping[str, int]:
+        """Hop distance from ``node`` to every reachable node.
+
+        The shared memo entry: read it, never modify it.
+        """
+        lengths = self._distances.get(node)
+        if lengths is None:
+            lengths = nx.single_source_shortest_path_length(self.graph, node)
+            self._distances[node] = lengths
+        return lengths
+
+    def nearest_trap_with_space(self, trap: str) -> str | None:
+        """The closest other trap with free space, ties broken by node id.
+
+        ``None`` when every other reachable trap is full.
+        """
+        order = self._traps_by_distance.get(trap)
+        if order is None:
+            lengths = self.distances_from(trap)
+            order = sorted(
+                (node for node in lengths
+                 if node != trap and node in self._trap_capacity),
+                key=lambda node: (lengths[node], node),
+            )
+            self._traps_by_distance[trap] = order
+        for node in order:
+            if self.free_space(node) > 0:
+                return node
+        return None
+
+    def path_junction_degrees(self, path: Sequence[str]) -> list[int]:
         """Degrees of the junctions traversed by a node path."""
         return [
             self.graph.degree[node] for node in path if self.is_junction(node)
         ]
 
-    def path_intermediate_traps(self, path: list[str]) -> list[str]:
+    def path_intermediate_traps(self, path: Sequence[str]) -> list[str]:
         """Traps strictly inside a node path (potential roadblocks)."""
         return [node for node in path[1:-1] if self.is_trap(node)]
 

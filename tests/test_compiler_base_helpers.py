@@ -39,6 +39,31 @@ class TestResourceTracker:
         assert tracker.wait_events == 0
 
 
+class TestNearestTrapWithSpace:
+    def test_equidistant_traps_resolve_by_node_id(self):
+        # Three traps and three corner junctions on a ring:
+        # T0-JC0-T1-JC1-T2-JC2-T0, so T1 and T2 are both two hops away.
+        device = ring_device(num_traps=3, trap_capacity=1)
+        assert device.nearest_trap_with_space("T0") == "T1"
+        assert device.nearest_trap_with_space("T2") == "T0"
+
+    def test_full_traps_are_skipped(self):
+        # T0-JC0-T1-JC1-T2-T3-JC3-T4-JC4-T5-T0: from T2, T3 is one hop
+        # away and T1 two.
+        device = ring_device(num_traps=6, trap_capacity=1)
+        assert device.nearest_trap_with_space("T2") == "T3"
+        device.place_ion(0, "T3")
+        assert device.nearest_trap_with_space("T2") == "T1"
+
+    def test_none_when_every_other_trap_is_full(self):
+        device = ring_device(num_traps=3, trap_capacity=1)
+        device.place_ion(0, "T1")
+        device.place_ion(1, "T2")
+        assert device.nearest_trap_with_space("T0") is None
+        device.remove_ion(1)
+        assert device.nearest_trap_with_space("T0") == "T2"
+
+
 class TestShuttleIon:
     def _setup(self):
         code = surface_code(3)

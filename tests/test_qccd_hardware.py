@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +151,17 @@ class TestDeviceModel:
         assert path[0] == "T0,0"
         assert path[-1] == "T2,2"
         assert any(device.is_junction(node) for node in path[1:-1])
+
+    def test_shortest_path_is_an_immutable_memo_of_networkx(self):
+        device = baseline_grid_device(num_data_qubits=9, trap_capacity=3)
+        for source, target in [("T0,0", "T2,2"), ("T2,1", "T0,0"),
+                               ("T1,1", "T1,2")]:
+            first = device.shortest_path(source, target)
+            second = device.shortest_path(source, target)
+            assert isinstance(first, tuple)
+            assert first == second
+            assert list(first) == nx.shortest_path(device.graph, source,
+                                                   target)
 
     def test_path_helpers(self):
         device = baseline_grid_device(num_data_qubits=9, trap_capacity=3)
