@@ -85,8 +85,6 @@ class QCCDDevice:
                 self._crossing_degree[node] = (
                     2 if element.l_shaped else self.graph.degree[node]
                 )
-        self._trap_ids = list(self._trap_capacity)
-        self._total_capacity = sum(self._trap_capacity.values())
         # Routing memos, filled on first use.
         self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
         self._distances: dict[str, dict[str, int]] = {}
@@ -106,14 +104,14 @@ class QCCDDevice:
         return node_id in self._crossing_degree
 
     def trap_ids(self) -> list[str]:
-        return list(self._trap_ids)
+        return list(self._trap_capacity)
 
     def junction_ids(self) -> list[str]:
         return list(self._crossing_degree)
 
     @property
     def num_traps(self) -> int:
-        return len(self._trap_ids)
+        return len(self._trap_capacity)
 
     @property
     def num_junctions(self) -> int:
@@ -142,7 +140,7 @@ class QCCDDevice:
             raise ValueError(f"{node_id} is not a trap") from None
 
     def total_capacity(self) -> int:
-        return self._total_capacity
+        return sum(self._trap_capacity.values())
 
     def validate_degrees(self) -> bool:
         """Traps may connect to at most two shuttling paths; junctions to four."""
@@ -193,7 +191,7 @@ class QCCDDevice:
 
     def clear_ions(self) -> None:
         self._occupancy: dict[str, list[int]] = {
-            node: [] for node in self._trap_ids
+            node: [] for node in self._trap_capacity
         }
         self._ion_location: dict[int, str] = {}
 

@@ -12,6 +12,7 @@ values, so no tie-break may depend on string-set iteration order.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -140,33 +141,23 @@ def test_compiled_schedule_matches_golden(golden_code, name):
     assert observed == GOLDEN[golden_code.name][name]
 
 
-_DIGEST_SCRIPT = """
-import hashlib, json
+_DIGEST_SCRIPT = "import hashlib, json\n" + inspect.getsource(
+    schedule_digest
+) + """
 from repro.codes import surface_code
 from repro.core.codesign import available_codesigns, codesign_by_name
 
 code = surface_code(3)
-digests = {}
-for name in available_codesigns():
-    compiled = codesign_by_name(name).compile(code)
-    digest = hashlib.sha256()
-    for op in compiled.operations:
-        digest.update(repr((op.kind.value, op.start_us, op.duration_us,
-                            op.qubits, op.location, op.note,
-                            op.multiplicity)).encode() + b"\\n")
-    digests[name] = digest.hexdigest()
-print(json.dumps(digests, sort_keys=True))
+print(json.dumps({
+    name: schedule_digest(codesign_by_name(name).compile(code))
+    for name in available_codesigns()
+}))
 """
 
 
 def _digests_under_hash_seed(seed: str) -> dict[str, str]:
-    import repro
-
-    src = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONHASHSEED=seed)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
     result = subprocess.run(
         [sys.executable, "-c", _DIGEST_SCRIPT], env=env, check=True,
         capture_output=True, text=True, timeout=300,
